@@ -10,6 +10,7 @@
 //!        [--csv PATH] [--json PATH] [--telemetry]
 //!        [--trace PATH] [--trace-json PATH] [--flame PATH]
 //!        [--obs [ADDR]] [--obs-json PATH] [--obs-interval-ms N]
+//!        [--ab obs|cohort|self-tuning|biased|adaptive|hazard [--merge PATH]]
 //! ```
 //!
 //! Defaults are scaled for a small machine; `--paper` switches to the
@@ -50,10 +51,23 @@
 //! final `oll.obs` document. `--flame` writes the trace analyzer's wait
 //! breakdowns as folded stacks for flamegraph tooling (needs
 //! `--trace`).
+//!
+//! `--ab FLAG` replaces the sweep with a paired comparison of one of the
+//! boolean options above (see `oll_workloads::ab`): every selected point
+//! runs `--runs` adjacent pairs, A with FLAG off and B with it on, and
+//! each lock × panel row reports the median paired delta `(B−A)/A` with
+//! its quartiles, pair count, and median thread overlap. `--ab obs` runs
+//! a sampler (ticking at `--obs-interval-ms`) around each B half; A is
+//! always FLAG off, whatever the other flags say. A build without
+//! FLAG's cargo feature (`obs`, `hazard`) exits 2 rather than record an
+//! inert comparison. `--merge PATH` folds the result into
+//! the `oll.fig5` document at PATH as its `oll.fig5_ab` member keyed by
+//! FLAG, which `fig5check --expect-ab FLAG` validates.
 
 use oll_trace::TraceSession;
+use oll_workloads::ab::{run_ab, AbFlag};
 use oll_workloads::config::{Fig5Panel, LockKind, WorkloadConfig};
-use oll_workloads::json::render_fig5_json;
+use oll_workloads::json::{ab_member, merge_member_into, render_fig5_json};
 use oll_workloads::obsio::{self, ObsArgs};
 use oll_workloads::report::{render_csv, render_table};
 use oll_workloads::sweep::{run_panel, PanelResult, SweepOptions};
@@ -71,6 +85,8 @@ struct Args {
     trace_json: Option<String>,
     flame: Option<String>,
     obs: ObsArgs,
+    ab: Option<AbFlag>,
+    merge: Option<String>,
 }
 
 fn usage(msg: &str) -> ! {
@@ -82,7 +98,8 @@ fn usage(msg: &str) -> ! {
          \t[--self-tuning] [--shape N]\n\
          \t[--csv PATH] [--json PATH] [--telemetry]\n\
          \t[--trace PATH] [--trace-json PATH] [--flame PATH]\n\
-         \t[--obs [ADDR]] [--obs-json PATH] [--obs-interval-ms N]"
+         \t[--obs [ADDR]] [--obs-json PATH] [--obs-interval-ms N]\n\
+         \t[--ab obs|cohort|self-tuning|biased|adaptive|hazard [--merge PATH]]"
     );
     exit(2);
 }
@@ -99,6 +116,8 @@ fn parse_args() -> Args {
     let mut trace_json = None;
     let mut flame = None;
     let mut obs = ObsArgs::default();
+    let mut ab = None;
+    let mut merge = None;
 
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
@@ -204,6 +223,17 @@ fn parse_args() -> Args {
                 flame = Some(value(i));
                 i += 1;
             }
+            "--ab" => {
+                let v = value(i);
+                ab = Some(
+                    AbFlag::parse(&v).unwrap_or_else(|| usage(&format!("unknown --ab flag `{v}`"))),
+                );
+                i += 1;
+            }
+            "--merge" => {
+                merge = Some(value(i));
+                i += 1;
+            }
             "--quiet" => opts.progress = false,
             "--help" | "-h" => usage("help requested"),
             other => usage(&format!("unknown flag `{other}`")),
@@ -226,6 +256,19 @@ fn parse_args() -> Args {
     if trace.is_none() && flame.is_some() {
         usage("--flame needs --trace");
     }
+    if let Some(flag) = ab {
+        if csv.is_some() || json.is_some() || telemetry || trace.is_some() || obs.on {
+            usage("--ab does not combine with --csv/--json/--telemetry/--trace/--obs");
+        }
+        if let Some(feature) = flag.missing_feature() {
+            usage(&format!(
+                "--ab {} needs the `{feature}` cargo feature",
+                flag.name()
+            ));
+        }
+    } else if merge.is_some() {
+        usage("--merge needs --ab");
+    }
     Args {
         panels,
         opts,
@@ -236,6 +279,8 @@ fn parse_args() -> Args {
         trace_json,
         flame,
         obs,
+        ab,
+        merge,
     }
 }
 
@@ -256,6 +301,10 @@ fn print_panel_telemetry(result: &PanelResult) {
 
 fn main() {
     let args = parse_args();
+    if let Some(flag) = args.ab {
+        run_ab_mode(flag, &args);
+        return;
+    }
     if args.telemetry && !oll_telemetry::Telemetry::enabled() {
         eprintln!(
             "warning: this binary was built without the `telemetry` feature; \
@@ -341,5 +390,24 @@ fn main() {
         if let Some(f) = &args.flame {
             eprintln!("wrote {f}");
         }
+    }
+}
+
+/// `--ab FLAG`: the paired comparison instead of the sweep.
+fn run_ab_mode(flag: AbFlag, args: &Args) {
+    eprintln!(
+        "fig5: --ab {}: {} panel(s), threads {:?}, {} acquisitions/thread (/10 at <=50% reads), {} pair(s) per point",
+        flag.name(),
+        args.panels.len(),
+        args.opts.thread_counts,
+        args.opts.base.acquisitions_per_thread,
+        args.opts.base.runs.max(1),
+    );
+    let result = run_ab(flag, &args.panels, &args.opts, &args.obs.config());
+    print!("{}", result.render_text());
+    if let Some(path) = &args.merge {
+        merge_member_into(path, flag.name(), &ab_member(&result).render())
+            .unwrap_or_else(|e| usage(&e));
+        eprintln!("merged {} member into {path}", flag.name());
     }
 }

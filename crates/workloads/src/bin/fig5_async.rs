@@ -32,7 +32,7 @@
 use oll_workloads::async_bench::{
     render_async_text, render_fig5_async_json, run_async_bench, AsyncBenchConfig,
 };
-use oll_workloads::json::merge_member;
+use oll_workloads::json::merge_member_into;
 use oll_workloads::obsio::{self, ObsArgs};
 use std::io::Write as _;
 use std::process::exit;
@@ -195,15 +195,7 @@ fn main() {
         eprintln!("wrote {path}");
     }
     if let Some(path) = &args.merge {
-        let base = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| usage(&format!("cannot read {path}: {e}")));
-        let merged = merge_member(&base, "async", &doc)
-            .unwrap_or_else(|e| usage(&format!("{path}: cannot merge: {e}")));
-        let mut f = std::fs::File::create(path)
-            .unwrap_or_else(|e| usage(&format!("cannot create {path}: {e}")));
-        f.write_all(merged.as_bytes())
-            .and_then(|()| f.write_all(b"\n"))
-            .unwrap_or_else(|e| usage(&format!("cannot write {path}: {e}")));
+        merge_member_into(path, "async", &doc).unwrap_or_else(|e| usage(&e));
         eprintln!("merged async panel into {path}");
     }
 

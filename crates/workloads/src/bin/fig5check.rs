@@ -4,7 +4,7 @@
 //! USAGE:
 //!   fig5check PATH [--expect-adaptive] [--expect-biased] [--expect-hazard]
 //!             [--expect-shape N] [--expect-async] [--expect-async-tasks N]
-//!             [--expect-obs] [--expect-cohort] [--expect-tuned]
+//!             [--expect-ab KEY[,KEY…]]
 //! ```
 //!
 //! Parses the document with the in-tree parser (`oll_workloads::json`),
@@ -24,34 +24,21 @@
 //! recorded run drove at least N tasks — the committed
 //! `BENCH_fig5.json` is checked with `--expect-async-tasks 1000000`.
 //!
-//! `--expect-obs` requires the `"obs"` member that `fig5_obs --merge`
-//! folds in (an `oll.fig5_obs` sampler-overhead comparison) and checks
-//! it was a live measurement: the sampler was active and ticking at a
-//! positive interval, every lock has finite positive throughput in both
-//! passes, and the overall overhead is a finite percentage.
-//!
-//! `--expect-cohort` requires the `"cohort"` member that
-//! `fig5_cohort --merge` folds in (an `oll.fig5_cohort` paired
-//! off/on comparison of the NUMA cohort writer gate) and checks its
-//! shape: at least one locality rank and a positive batch bound were
-//! recorded, every lock has finite positive throughput with the gate
-//! off and on, and the overall delta is a finite percentage.
-//!
-//! `--expect-tuned` requires the `"tuned"` member that
-//! `fig5_tuned --merge` folds in (an `oll.fig5_tuned` paired bare/tuned
-//! comparison of the self-tuning policy controller) and checks its
-//! shape: at least one panel and one lock row were recorded, every row
-//! names a real panel and has finite positive throughput bare and
-//! tuned, and the per-row and overall deltas are finite percentages.
+//! `--expect-ab KEY[,KEY…]` requires an `oll.fig5_ab` member under each
+//! KEY — the `fig5 --ab KEY --merge` paired comparisons, e.g.
+//! `--expect-ab obs,cohort,self-tuning`.
 //!
 //! Regardless of the `--expect-*` flags, any merged members present are
-//! cross-checked for agreement: a member merged under the wrong key
-//! (its `schema` does not match the key), a member from a different
-//! schema revision (its `version` differs from the document's), or
-//! members recorded on machines with disagreeing locality topologies
-//! (their `ranks` differ) are rejected. A `BENCH_fig5.json` assembled
-//! from stale or foreign member runs fails instead of parsing clean.
+//! checked: every A/B member against the one schema
+//! (`oll_workloads::json::check_ab_member`: a flag that disagrees with
+//! its key, or a row without its spread, fails), and all members for
+//! agreement — a member from a different schema revision (its `version`
+//! differs from the document's), or members recorded on machines with
+//! disagreeing locality topologies (their `ranks` differ), are rejected.
+//! A `BENCH_fig5.json` assembled from stale or foreign member runs fails
+//! instead of parsing clean.
 
+use oll_workloads::json::check_ab_member;
 use oll_workloads::json::parse::{self, Value};
 use std::process::exit;
 
@@ -59,8 +46,8 @@ fn usage(msg: &str) -> ! {
     eprintln!("error: {msg}");
     eprintln!(
         "usage: fig5check PATH [--expect-adaptive] [--expect-biased] [--expect-hazard] \
-         [--expect-shape N] [--expect-async] [--expect-async-tasks N] [--expect-obs] \
-         [--expect-cohort] [--expect-tuned]"
+         [--expect-shape N] [--expect-async] [--expect-async-tasks N] \
+         [--expect-ab KEY[,KEY...]]"
     );
     exit(2);
 }
@@ -79,9 +66,7 @@ fn main() {
     let mut expect_shape = None;
     let mut expect_async = false;
     let mut expect_async_tasks = None;
-    let mut expect_obs = false;
-    let mut expect_cohort = false;
-    let mut expect_tuned = false;
+    let mut expect_ab: Vec<String> = Vec::new();
     let mut i = 0;
     while i < argv.len() {
         match argv[i].as_str() {
@@ -89,9 +74,13 @@ fn main() {
             "--expect-biased" => expect_biased = true,
             "--expect-hazard" => expect_hazard = true,
             "--expect-async" => expect_async = true,
-            "--expect-obs" => expect_obs = true,
-            "--expect-cohort" => expect_cohort = true,
-            "--expect-tuned" => expect_tuned = true,
+            "--expect-ab" => {
+                let v = argv
+                    .get(i + 1)
+                    .unwrap_or_else(|| usage("missing value for --expect-ab"));
+                expect_ab.extend(v.split(',').map(str::to_string));
+                i += 1;
+            }
             "--expect-async-tasks" => {
                 let v = argv
                     .get(i + 1)
@@ -201,26 +190,40 @@ fn main() {
             }
         }
     }
-    // Cross-member agreement, checked whenever members are present (the
-    // per-member `--expect-*` passes only look inside one member each).
-    // A member merged under the wrong key, carried over from a different
-    // schema revision, or recorded on a machine whose locality topology
-    // disagrees with another member's is a stale or foreign artifact.
+    // Every merged member is checked whenever present (the `--expect-*`
+    // flags only demand presence): A/B members against their schema, and
+    // all members for a shared schema revision and locality topology.
     let version = doc
         .get("version")
         .and_then(Value::as_u64)
         .unwrap_or_else(|| fail("missing version"));
+    let Value::Obj(members) = &doc else {
+        fail("top-level value is not an object")
+    };
     let mut ranks_seen: Option<(&str, u64)> = None;
-    for key in ["async", "obs", "cohort", "tuned"] {
-        let Some(member) = doc.get(key) else { continue };
-        let want_schema = format!("oll.fig5_{key}");
-        match member.get("schema").and_then(Value::as_str) {
-            Some(got) if got == want_schema => {}
-            Some(got) => fail(&format!(
-                "member {key}: schema \"{got}\" disagrees with its key \
-                 (expected \"{want_schema}\" — merged under the wrong key?)"
-            )),
-            None => fail(&format!("member {key}: missing schema")),
+    let mut ab_summary = String::new();
+    for (key, member) in members {
+        let key = key.as_str();
+        if matches!(key, "schema" | "version" | "panels") {
+            continue;
+        }
+        if key == "async" {
+            if member.get("schema").and_then(Value::as_str) != Some("oll.fig5_async") {
+                fail("member async: schema is not \"oll.fig5_async\"");
+            }
+        } else {
+            let s = check_ab_member(key, member).unwrap_or_else(|e| fail(&e));
+            ab_summary.push_str(&format!(
+                ", {key} {:+.2}% [{:+.2}, {:+.2}]{}",
+                s.median_pct,
+                s.q1_pct,
+                s.q3_pct,
+                if s.no_detectable_change() {
+                    " (no detectable change)"
+                } else {
+                    ""
+                }
+            ));
         }
         match member.get("version").and_then(Value::as_u64) {
             Some(v) if v == version => {}
@@ -242,14 +245,18 @@ fn main() {
             }
         }
     }
+    for key in &expect_ab {
+        if doc.get(key).is_none() {
+            fail(&format!(
+                "missing {key} member (run fig5 --ab {key} --merge)"
+            ));
+        }
+    }
     let mut async_tasks = None;
     if expect_async {
         let a = doc
             .get("async")
             .unwrap_or_else(|| fail("missing async member (run fig5_async --merge)"));
-        if a.get("schema").and_then(Value::as_str) != Some("oll.fig5_async") {
-            fail("async member's schema is not \"oll.fig5_async\"");
-        }
         let field = |key: &str| -> u64 {
             a.get(key)
                 .and_then(Value::as_u64)
@@ -288,173 +295,8 @@ fn main() {
         }
         async_tasks = Some((tasks, workers));
     }
-    let mut cohort_delta = None;
-    if expect_cohort {
-        let c = doc
-            .get("cohort")
-            .unwrap_or_else(|| fail("missing cohort member (run fig5_cohort --merge)"));
-        if c.get("schema").and_then(Value::as_str) != Some("oll.fig5_cohort") {
-            fail("cohort member's schema is not \"oll.fig5_cohort\"");
-        }
-        let ranks = c
-            .get("ranks")
-            .and_then(Value::as_u64)
-            .unwrap_or_else(|| fail("cohort member: missing ranks"));
-        if ranks == 0 {
-            fail("cohort member: zero locality ranks");
-        }
-        let batch = c
-            .get("batch")
-            .and_then(Value::as_u64)
-            .unwrap_or_else(|| fail("cohort member: missing batch"));
-        if batch == 0 {
-            fail("cohort member: zero batch bound");
-        }
-        let locks = c
-            .get("locks")
-            .and_then(Value::as_arr)
-            .unwrap_or_else(|| fail("cohort member: missing locks array"));
-        if locks.is_empty() {
-            fail("cohort member: no locks");
-        }
-        for l in locks {
-            let name = l
-                .get("lock")
-                .and_then(Value::as_str)
-                .unwrap_or_else(|| fail("cohort member: lock row missing name"));
-            for key in ["off_acquires_per_sec", "on_acquires_per_sec"] {
-                let rate = l
-                    .get(key)
-                    .and_then(Value::as_f64)
-                    .unwrap_or_else(|| fail(&format!("cohort member/{name}: missing {key}")));
-                if !(rate.is_finite() && rate > 0.0) {
-                    fail(&format!("cohort member/{name}: non-positive {key} {rate}"));
-                }
-            }
-        }
-        let overall = c
-            .get("overall_delta_pct")
-            .and_then(Value::as_f64)
-            .unwrap_or_else(|| fail("cohort member: missing overall_delta_pct"));
-        if !overall.is_finite() {
-            fail(&format!("cohort member: non-finite delta {overall}"));
-        }
-        cohort_delta = Some((ranks, overall));
-    }
-    let mut tuned_delta = None;
-    if expect_tuned {
-        let t = doc
-            .get("tuned")
-            .unwrap_or_else(|| fail("missing tuned member (run fig5_tuned --merge)"));
-        if t.get("schema").and_then(Value::as_str) != Some("oll.fig5_tuned") {
-            fail("tuned member's schema is not \"oll.fig5_tuned\"");
-        }
-        let tuned_panels = t
-            .get("panels")
-            .and_then(Value::as_arr)
-            .unwrap_or_else(|| fail("tuned member: missing panels array"));
-        if tuned_panels.is_empty() {
-            fail("tuned member: no panels");
-        }
-        let locks = t
-            .get("locks")
-            .and_then(Value::as_arr)
-            .unwrap_or_else(|| fail("tuned member: missing locks array"));
-        if locks.is_empty() {
-            fail("tuned member: no locks");
-        }
-        for l in locks {
-            let name = l
-                .get("lock")
-                .and_then(Value::as_str)
-                .unwrap_or_else(|| fail("tuned member: lock row missing name"));
-            let panel = l
-                .get("panel")
-                .and_then(Value::as_str)
-                .unwrap_or_else(|| fail(&format!("tuned member/{name}: missing panel")));
-            if !matches!(panel, "a" | "b" | "c" | "d" | "e" | "f") {
-                fail(&format!("tuned member/{name}: unknown panel \"{panel}\""));
-            }
-            for key in [
-                "bare_acquires_per_sec",
-                "tuned_acquires_per_sec",
-                "delta_pct",
-            ] {
-                let v = l.get(key).and_then(Value::as_f64).unwrap_or_else(|| {
-                    fail(&format!("tuned member/{name}/{panel}: missing {key}"))
-                });
-                if !v.is_finite() {
-                    fail(&format!(
-                        "tuned member/{name}/{panel}: non-finite {key} {v}"
-                    ));
-                }
-                if key != "delta_pct" && v <= 0.0 {
-                    fail(&format!(
-                        "tuned member/{name}/{panel}: non-positive {key} {v}"
-                    ));
-                }
-            }
-        }
-        let overall = t
-            .get("overall_delta_pct")
-            .and_then(Value::as_f64)
-            .unwrap_or_else(|| fail("tuned member: missing overall_delta_pct"));
-        if !overall.is_finite() {
-            fail(&format!("tuned member: non-finite delta {overall}"));
-        }
-        tuned_delta = Some((tuned_panels.len(), overall));
-    }
-    let mut obs_overhead = None;
-    if expect_obs {
-        let o = doc
-            .get("obs")
-            .unwrap_or_else(|| fail("missing obs member (run fig5_obs --merge)"));
-        if o.get("schema").and_then(Value::as_str) != Some("oll.fig5_obs") {
-            fail("obs member's schema is not \"oll.fig5_obs\"");
-        }
-        if o.get("sampler_active").and_then(Value::as_bool) != Some(true) {
-            fail("obs member: sampler was not active (built without the obs feature?)");
-        }
-        let interval = o
-            .get("interval_ms")
-            .and_then(Value::as_u64)
-            .unwrap_or_else(|| fail("obs member: missing interval_ms"));
-        if interval == 0 {
-            fail("obs member: zero interval_ms");
-        }
-        let locks = o
-            .get("locks")
-            .and_then(Value::as_arr)
-            .unwrap_or_else(|| fail("obs member: missing locks array"));
-        if locks.is_empty() {
-            fail("obs member: no locks");
-        }
-        for l in locks {
-            let name = l
-                .get("lock")
-                .and_then(Value::as_str)
-                .unwrap_or_else(|| fail("obs member: lock row missing name"));
-            for key in ["off_acquires_per_sec", "on_acquires_per_sec"] {
-                let rate = l
-                    .get(key)
-                    .and_then(Value::as_f64)
-                    .unwrap_or_else(|| fail(&format!("obs member/{name}: missing {key}")));
-                if !(rate.is_finite() && rate > 0.0) {
-                    fail(&format!("obs member/{name}: non-positive {key} {rate}"));
-                }
-            }
-        }
-        let overall = o
-            .get("overall_overhead_pct")
-            .and_then(Value::as_f64)
-            .unwrap_or_else(|| fail("obs member: missing overall_overhead_pct"));
-        if !overall.is_finite() {
-            fail(&format!("obs member: non-finite overhead {overall}"));
-        }
-        obs_overhead = Some(overall);
-    }
     println!(
-        "fig5check: OK: {path}: {} panel(s), {points} point(s){}{}{}{}{}{}{}{}",
+        "fig5check: OK: {path}: {} panel(s), {points} point(s){}{}{}{}{}{ab_summary}",
         panels.len(),
         if expect_adaptive { ", adaptive" } else { "" },
         if expect_biased { ", biased" } else { "" },
@@ -465,22 +307,6 @@ fn main() {
         },
         match async_tasks {
             Some((t, w)) => format!(", async {t} task(s) on {w} worker(s)"),
-            None => String::new(),
-        },
-        match obs_overhead {
-            Some(pct) => format!(", obs {pct:.2}% sampler overhead"),
-            None => String::new(),
-        },
-        match cohort_delta {
-            Some((ranks, pct)) => {
-                format!(", cohort {pct:+.2}% delta over {ranks} rank(s)")
-            }
-            None => String::new(),
-        },
-        match tuned_delta {
-            Some((n, pct)) => {
-                format!(", tuned {pct:+.2}% delta over {n} panel(s)")
-            }
             None => String::new(),
         },
     );

@@ -1,7 +1,7 @@
 //! Schema-versioned JSON reports for the workload binaries.
 //!
 //! Hand-rolled like `oll_telemetry::report` (the workspace carries no
-//! serialization dependency). Two document schemas:
+//! serialization dependency). The document schemas:
 //!
 //! - `oll.fig5` — the panels of a `fig5` run: every (lock × threads)
 //!   point with throughput and, when collected, the lock's telemetry
@@ -12,6 +12,9 @@
 //!   binary): the merged record timeline plus the analyzer's findings.
 //!   Causality tokens are 64-bit and travel as `"0x…"` hex strings —
 //!   JSON numbers are f64 and would corrupt them.
+//! - `oll.fig5_ab` — a `fig5 --ab FLAG` paired comparison, merged into
+//!   an `oll.fig5` document as the member keyed by FLAG
+//!   ([`ab_member`], validated by [`check_ab_member`]).
 //!
 //! Consumers should check `"schema"` and `"version"` before parsing;
 //! [`oll_telemetry::report::SCHEMA_VERSION`] is bumped on any
@@ -19,11 +22,14 @@
 //! [`parse`] submodule carries a small JSON reader used to round-trip
 //! test every document this module emits.
 
+use crate::ab::{AbFlag, AbResult, AbStats};
+use crate::config::Fig5Panel;
 use crate::latency::{LatencyResult, LatencySummary};
 use crate::sweep::PanelResult;
 use oll_telemetry::report::{json_escape, render_lock_json, SCHEMA_VERSION};
 use oll_telemetry::LockSnapshot;
 use oll_trace::{Timeline, TraceReport};
+use parse::Value;
 use std::fmt::Write as _;
 
 fn json_telemetry(profile: &Option<LockSnapshot>) -> String {
@@ -78,11 +84,12 @@ pub fn render_fig5_json(panels: &[PanelResult]) -> String {
                 let profile = s.profiles.get(i).cloned().flatten();
                 let _ = write!(
                     out,
-                    "{{\"threads\":{},\"acquires_per_sec\":{:.1},\"elapsed_secs\":{:.6},\"total_acquisitions\":{},\"telemetry\":{}}}",
+                    "{{\"threads\":{},\"acquires_per_sec\":{:.1},\"elapsed_secs\":{:.6},\"total_acquisitions\":{},\"overlap\":{:.3},\"telemetry\":{}}}",
                     p.threads,
                     p.acquires_per_sec,
                     p.elapsed.as_secs_f64(),
                     p.total_acquisitions,
+                    p.overlap,
                     json_telemetry(&profile),
                 );
             }
@@ -276,7 +283,6 @@ pub fn render_trace_json(tl: &Timeline, report: &TraceReport) -> String {
 /// folds its `oll.fig5_async` panel into the committed `BENCH_fig5.json`
 /// trajectory file without disturbing the `oll.fig5` members around it.
 pub fn merge_member(doc: &str, key: &str, member: &str) -> Result<String, parse::ParseError> {
-    use parse::Value;
     let root = parse::parse(doc)?;
     let inserted = parse::parse(member)?;
     let Value::Obj(mut members) = root else {
@@ -290,6 +296,134 @@ pub fn merge_member(doc: &str, key: &str, member: &str) -> Result<String, parse:
         None => members.push((key.to_string(), inserted)),
     }
     Ok(Value::Obj(members).render())
+}
+
+/// [`merge_member`] applied to the file at `path`, rewritten in place.
+pub fn merge_member_into(path: &str, key: &str, member: &str) -> Result<(), String> {
+    let base = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    let merged = merge_member(&base, key, member).map_err(|e| format!("{path}: {e}"))?;
+    std::fs::write(path, merged + "\n").map_err(|e| format!("cannot write {path}: {e}"))
+}
+
+/// Renders an `--ab` run as one `oll.fig5_ab` member, merged into an
+/// `oll.fig5` document under the key of its flag.
+pub fn ab_member(ab: &AbResult) -> Value {
+    let obj = |fields: Vec<(&str, Value)>| {
+        Value::Obj(
+            fields
+                .into_iter()
+                .map(|(k, v)| (k.to_string(), v))
+                .collect(),
+        )
+    };
+    let num = |x: f64| Value::Num((x * 1000.0).round() / 1000.0);
+    let int = |n: usize| Value::Num(n as f64);
+    let text = |s: &str| Value::Str(s.to_string());
+    let stats = |s: &AbStats| {
+        vec![
+            ("median_pct", num(s.median_pct)),
+            ("q1_pct", num(s.q1_pct)),
+            ("q3_pct", num(s.q3_pct)),
+            ("pairs", int(s.pairs)),
+            ("overlap", num(s.overlap)),
+        ]
+    };
+    let rows = ab.rows.iter().map(|r| {
+        let head = vec![
+            ("lock", text(r.kind.name())),
+            ("panel", text(r.panel.tag())),
+        ];
+        obj([head, stats(&r.stats)].concat())
+    });
+    let mut fields = vec![
+        ("schema", text("oll.fig5_ab")),
+        ("version", int(SCHEMA_VERSION as usize)),
+        ("flag", text(ab.flag.name())),
+        ("ranks", int(ab.ranks)),
+        (
+            "panels",
+            Value::Arr(ab.panels.iter().map(|p| text(p.tag())).collect()),
+        ),
+        (
+            "threads",
+            Value::Arr(ab.opts.thread_counts.iter().map(|&t| int(t)).collect()),
+        ),
+        (
+            "acquisitions_per_thread",
+            int(ab.opts.base.acquisitions_per_thread),
+        ),
+        ("runs", int(ab.opts.base.runs)),
+    ];
+    fields.extend(ab.interval_ms.map(|ms| ("interval_ms", int(ms as usize))));
+    fields.push(("rows", Value::Arr(rows.collect())));
+    fields.push(("overall", obj(stats(&ab.overall))));
+    obj(fields)
+}
+
+/// Checks one `oll.fig5_ab` member merged under `key`: its schema and
+/// flag agree with the key, and it has at least one row, each naming a
+/// lock and a real panel. Every row, and the overall figure, must carry
+/// its spread: median, q1 and q3 with `q1 <= median <= q3`, a positive
+/// pair count, and an overlap share in [0, 1]. Returns the overall
+/// figure.
+pub fn check_ab_member(key: &str, member: &Value) -> Result<AbStats, String> {
+    let field = |v: &Value, ctx: &str, name: &str| -> Result<f64, String> {
+        v.get(name)
+            .and_then(Value::as_f64)
+            .ok_or_else(|| format!("{ctx}: missing {name}"))
+    };
+    let stats = |v: &Value, ctx: &str| -> Result<AbStats, String> {
+        let s = AbStats {
+            median_pct: field(v, ctx, "median_pct")?,
+            q1_pct: field(v, ctx, "q1_pct")?,
+            q3_pct: field(v, ctx, "q3_pct")?,
+            pairs: v.get("pairs").and_then(Value::as_u64).unwrap_or(0) as usize,
+            overlap: field(v, ctx, "overlap")?,
+        };
+        if !(s.q1_pct <= s.median_pct && s.median_pct <= s.q3_pct) {
+            return Err(format!("{ctx}: quartiles out of order ({s:?})"));
+        }
+        if s.pairs == 0 {
+            return Err(format!("{ctx}: missing or zero pairs"));
+        }
+        if !(0.0..=1.0).contains(&s.overlap) {
+            return Err(format!("{ctx}: overlap {} outside [0, 1]", s.overlap));
+        }
+        Ok(s)
+    };
+    let ctx = format!("member {key}");
+    let text = |name: &str| member.get(name).and_then(Value::as_str).unwrap_or("none");
+    if text("schema") != "oll.fig5_ab" {
+        return Err(format!(
+            "{ctx}: schema {} is not oll.fig5_ab",
+            text("schema")
+        ));
+    }
+    if text("flag") != key || AbFlag::parse(key).is_none() {
+        return Err(format!(
+            "{ctx}: flag {} disagrees with its key",
+            text("flag")
+        ));
+    }
+    let rows = member
+        .get("rows")
+        .and_then(Value::as_arr)
+        .filter(|r| !r.is_empty())
+        .ok_or_else(|| format!("{ctx}: missing or empty rows"))?;
+    for (i, row) in rows.iter().enumerate() {
+        let ctx = format!("{ctx}/row {i}");
+        let panel = row.get("panel").and_then(Value::as_str);
+        if row.get("lock").and_then(Value::as_str).is_none()
+            || panel.and_then(Fig5Panel::parse).is_none()
+        {
+            return Err(format!("{ctx}: missing lock or unknown panel"));
+        }
+        stats(row, &ctx)?;
+    }
+    let overall = member
+        .get("overall")
+        .ok_or_else(|| format!("{ctx}: missing overall"))?;
+    stats(overall, &format!("{ctx}/overall"))
 }
 
 /// A minimal JSON reader for the documents this module emits: round-trip
@@ -671,8 +805,8 @@ pub mod parse {
 
 #[cfg(test)]
 mod tests {
-    use super::parse::Value;
     use super::*;
+    use crate::ab::run_ab;
     use crate::config::{Fig5Panel, LockKind, LockOptions, WorkloadConfig};
     use crate::latency::run_latency;
     use crate::sweep::{run_panel, SweepOptions};
@@ -1065,5 +1199,101 @@ mod tests {
         assert!(doc.contains("\"lock\":\"Solaris Like\""));
         assert!(doc.contains("\"read\":{\"count\":"));
         assert!(doc.contains("\"telemetry\":null"));
+    }
+
+    /// A real `--ab cohort` member: FOLL, panel f, 2 threads, 2,000
+    /// acquisitions, 3 pairs, rendered and parsed back.
+    fn tiny_ab_member() -> Value {
+        let opts = SweepOptions {
+            thread_counts: vec![2],
+            base: WorkloadConfig {
+                acquisitions_per_thread: 2_000,
+                runs: 3,
+                ..tiny_opts().base
+            },
+            ..tiny_opts()
+        };
+        let ab = run_ab(AbFlag::Cohort, &[Fig5Panel::F], &opts, &Default::default());
+        parse::parse(&ab_member(&ab).render()).expect("ab member must parse")
+    }
+
+    /// Replaces (or with `None` removes) member `name` of object `v`.
+    fn set(v: &mut Value, name: &str, to: Option<Value>) {
+        let Value::Obj(fields) = v else {
+            panic!("not an object")
+        };
+        fields.retain(|(k, _)| k != name);
+        fields.extend(to.map(|to| (name.to_string(), to)));
+    }
+
+    fn row0(v: &mut Value) -> &mut Value {
+        match v {
+            Value::Obj(fields) => match fields.iter_mut().find(|(k, _)| k == "rows") {
+                Some((_, Value::Arr(rows))) => &mut rows[0],
+                _ => panic!("no rows"),
+            },
+            _ => panic!("not an object"),
+        }
+    }
+
+    #[test]
+    fn real_ab_member_round_trips_and_checks() {
+        let v = tiny_ab_member();
+        let overall = check_ab_member("cohort", &v).expect("a real member passes");
+        assert_eq!(overall.pairs, 3);
+        assert_eq!(
+            v.get("rows").and_then(Value::as_arr).map(<[_]>::len),
+            Some(1)
+        );
+        assert_eq!(v.get("threads"), Some(&Value::Arr(vec![Value::Num(2.0)])));
+    }
+
+    #[test]
+    fn ab_rows_without_spread_are_rejected() {
+        for name in ["q1_pct", "q3_pct", "pairs"] {
+            let mut v = tiny_ab_member();
+            set(row0(&mut v), name, None);
+            let err = check_ab_member("cohort", &v).expect_err(name);
+            assert!(err.contains(name), "{err}");
+        }
+    }
+
+    #[test]
+    fn ab_rows_with_disordered_quartiles_are_rejected() {
+        let v = tiny_ab_member();
+        let median = v
+            .get("rows")
+            .and_then(|r| r.idx(0))
+            .and_then(|r| r.get("median_pct"))
+            .and_then(Value::as_f64)
+            .unwrap();
+        for (name, to) in [("q1_pct", median + 1.0), ("q3_pct", median - 1.0)] {
+            let mut bad = v.clone();
+            set(row0(&mut bad), name, Some(Value::Num(to)));
+            let err = check_ab_member("cohort", &bad).expect_err(name);
+            assert!(err.contains("out of order"), "{err}");
+        }
+    }
+
+    #[test]
+    fn ab_member_key_must_match_flag_and_schema() {
+        let v = tiny_ab_member();
+        assert!(
+            check_ab_member("obs", &v).is_err(),
+            "merged under another flag's key"
+        );
+        let mut bad = v.clone();
+        set(
+            &mut bad,
+            "schema",
+            Some(Value::Str("oll.fig5_cohort".into())),
+        );
+        assert!(
+            check_ab_member("cohort", &bad).is_err(),
+            "old per-layer schema"
+        );
+        let mut bad = v;
+        set(&mut bad, "flag", Some(Value::Str("tuned".into())));
+        assert!(check_ab_member("tuned", &bad).is_err(), "not an --ab flag");
     }
 }

@@ -7,7 +7,8 @@
 //! percentage; throughput is total acquisitions over the time for all
 //! threads to finish, averaged over three runs. [`runner`] implements
 //! exactly that loop, [`sweep`] runs it over thread-count grids to
-//! regenerate each panel of Figure 5, and [`report`] prints the series.
+//! regenerate each panel of Figure 5, [`report`] prints the series, and
+//! [`ab`] pairs points with one lock option off and on (`fig5 --ab`).
 //!
 //! The `fig5` binary drives it all:
 //!
@@ -18,6 +19,7 @@
 
 #![warn(missing_docs)]
 
+pub mod ab;
 #[cfg(feature = "async")]
 pub mod async_bench;
 #[cfg(feature = "async")]

@@ -30,6 +30,11 @@ pub struct ThroughputResult {
     pub elapsed: Duration,
     /// Total acquisitions in one run.
     pub total_acquisitions: usize,
+    /// Mean share of a run's wall time during which every thread was
+    /// inside its acquisition loop at once (1.0 for one thread). Near 0
+    /// means the threads ran one after another, so the point measured
+    /// uncontended fast paths whatever its thread count.
+    pub overlap: f64,
 }
 
 #[inline]
@@ -39,18 +44,80 @@ fn dummy_work(iters: u32) {
     }
 }
 
-/// Measures one run: barrier-synchronized start, join-synchronized stop.
-/// The snapshot is the lock's full telemetry for the run (`None` unless
-/// built with the `telemetry` feature).
-fn measure<L, F>(
-    make_lock: F,
-    config: &WorkloadConfig,
+/// A measurement of one freshly built lock, of whichever family
+/// [`with_lock`] builds.
+pub(crate) trait Measure {
+    /// What the measurement returns.
+    type Out;
+    /// Measures `lock`.
+    fn run<L: RwLockFamily>(self, lock: L) -> Self::Out;
+}
+
+/// Builds a `kind` lock for `capacity` threads as `opts` asks and hands it
+/// to `m`. The OLL locks go through their builders (adaptive C-SNZIs,
+/// tree shape, cohort gate, BRAVO bias) and under the [`SelfTuning`]
+/// controller when asked; the baselines have nothing to configure. The
+/// hazard layer is armed on every lock when `opts.hazard` is set.
+pub(crate) fn with_lock<M: Measure>(
+    kind: LockKind,
+    capacity: usize,
     opts: &LockOptions,
-) -> (Duration, Option<LockSnapshot>)
-where
-    L: RwLockFamily,
-    F: Fn(usize) -> L,
-{
+    m: M,
+) -> M::Out {
+    fn arm_and_run<M: Measure, L: RwLockFamily>(m: M, lock: L, hazard: bool) -> M::Out {
+        if hazard {
+            let h = lock.hazard();
+            h.set_poison_policy(PoisonPolicy::Poison);
+            h.detect_deadlocks(true);
+        }
+        m.run(lock)
+    }
+    let shape = opts.shape_threads.map(TreeShape::for_threads);
+    // Each OLL lock is one of four types: plain or BRAVO-biased, bare or
+    // under SelfTuning.
+    macro_rules! oll {
+        ($builder:expr) => {{
+            let b = $builder.adaptive(opts.adaptive);
+            let b = match shape {
+                Some(s) => b.tree_shape(s),
+                None => b,
+            };
+            match (opts.biased, opts.self_tuning) {
+                (false, false) => arm_and_run(m, b.build(), opts.hazard),
+                (false, true) => arm_and_run(m, SelfTuning::new(b.build()), opts.hazard),
+                (true, false) => arm_and_run(m, b.biased(true).build_biased(), opts.hazard),
+                (true, true) => arm_and_run(
+                    m,
+                    SelfTuning::new(b.biased(true).build_biased()),
+                    opts.hazard,
+                ),
+            }
+        }};
+    }
+    match kind {
+        LockKind::Goll => oll!(GollLock::builder(capacity)),
+        LockKind::Foll => oll!(FollLock::builder(capacity).cohort(opts.cohort)),
+        LockKind::Roll => oll!(RollLock::builder(capacity).cohort(opts.cohort)),
+        LockKind::Ksuh => arm_and_run(m, KsuhLock::new(capacity), opts.hazard),
+        LockKind::SolarisLike => arm_and_run(m, SolarisLikeRwLock::new(capacity), opts.hazard),
+        LockKind::Centralized => arm_and_run(m, CentralizedRwLock::new(capacity), opts.hazard),
+        LockKind::McsRw => arm_and_run(m, McsRwLock::new(capacity), opts.hazard),
+        LockKind::McsRwReaderPref => arm_and_run(m, McsRwReaderPref::new(capacity), opts.hazard),
+        LockKind::McsRwWriterPref => arm_and_run(m, McsRwWriterPref::new(capacity), opts.hazard),
+        LockKind::PerThread => arm_and_run(m, PerThreadRwLock::new(capacity), opts.hazard),
+        LockKind::StdRw => arm_and_run(m, StdRwLock::new(capacity), opts.hazard),
+        LockKind::McsMutex => arm_and_run(m, McsMutex::new(capacity), opts.hazard),
+    }
+}
+
+/// Measures one run: barrier-synchronized start, join-synchronized stop.
+/// Returns the run's wall time, its overlap share (see
+/// [`ThroughputResult::overlap`]), and the lock's full telemetry for the
+/// run (`None` unless built with the `telemetry` feature).
+fn measure<L: RwLockFamily>(
+    lock: L,
+    config: &WorkloadConfig,
+) -> (Duration, f64, Option<LockSnapshot>) {
     // Thread spawn/registration cost happens before the barrier. Each
     // worker records its own start (at barrier release) and end (after its
     // last release); the run's elapsed time is max(end) - min(start),
@@ -58,12 +125,6 @@ where
     // acquisitions. Workers must self-timestamp: on an oversubscribed
     // machine a coordinator thread may not be scheduled again until the
     // workers are already done.
-    let lock = make_lock(config.threads);
-    if opts.hazard {
-        let h = lock.hazard();
-        h.set_poison_policy(PoisonPolicy::Poison);
-        h.detect_deadlocks(true);
-    }
     let barrier = Barrier::new(config.threads);
     let state = AtomicI64::new(0);
 
@@ -114,29 +175,28 @@ where
     let spans = spans.into_inner().unwrap();
     let first_start = spans.iter().map(|s| s.0).min().expect("threads ran");
     let last_end = spans.iter().map(|s| s.1).max().expect("threads ran");
+    let last_start = spans.iter().map(|s| s.0).max().expect("threads ran");
+    let first_end = spans.iter().map(|s| s.1).min().expect("threads ran");
+    let elapsed = last_end.duration_since(first_start);
+    // `saturating_duration_since` is zero when the last thread started
+    // after the first one finished: no moment had every thread running.
+    let all_running = first_end.saturating_duration_since(last_start);
+    let overlap = if elapsed.is_zero() {
+        1.0
+    } else {
+        all_running.as_secs_f64() / elapsed.as_secs_f64()
+    };
     let snap = lock.telemetry().snapshot();
-    (last_end.duration_since(first_start), snap)
+    (elapsed, overlap, snap)
 }
 
-/// Routes an OLL lock construction through the `self_tuning` option:
-/// when set, the lock runs under the [`SelfTuning`] online policy
-/// controller for the whole measurement (the wrapper's try-then-block
-/// handle preserves the inner fast path, so an untuned comparison is
-/// apples-to-apples). Baselines never come through here — they have no
-/// knobs to steer.
-fn measure_tuned<L, F>(
-    make_lock: F,
-    config: &WorkloadConfig,
-    opts: &LockOptions,
-) -> (Duration, Option<LockSnapshot>)
-where
-    L: RwLockFamily,
-    F: Fn(usize) -> L,
-{
-    if opts.self_tuning {
-        measure(|cap| SelfTuning::new(make_lock(cap)), config, opts)
-    } else {
-        measure(make_lock, config, opts)
+/// [`Measure`] for [`measure`].
+struct Throughput<'a>(&'a WorkloadConfig);
+
+impl Measure for Throughput<'_> {
+    type Out = (Duration, f64, Option<LockSnapshot>);
+    fn run<L: RwLockFamily>(self, lock: L) -> Self::Out {
+        measure(lock, self.0)
     }
 }
 
@@ -165,97 +225,15 @@ pub fn run_throughput_profiled_with(
     config: &WorkloadConfig,
     opts: &LockOptions,
 ) -> (ThroughputResult, Option<LockSnapshot>) {
-    let shape = opts.shape_threads.map(TreeShape::for_threads);
     let mut total = Duration::ZERO;
+    let mut overlap = 0.0;
     let mut profile: Option<LockSnapshot> = None;
     let runs = config.runs.max(1);
     for _ in 0..runs {
-        let (elapsed, snap) = match kind {
-            LockKind::Goll if opts.biased => measure_tuned(
-                |cap| {
-                    let mut b = GollLock::builder(cap).adaptive(opts.adaptive);
-                    if let Some(s) = shape {
-                        b = b.tree_shape(s);
-                    }
-                    b.biased(true).build_biased()
-                },
-                config,
-                opts,
-            ),
-            LockKind::Goll => measure_tuned(
-                |cap| {
-                    let mut b = GollLock::builder(cap).adaptive(opts.adaptive);
-                    if let Some(s) = shape {
-                        b = b.tree_shape(s);
-                    }
-                    b.build()
-                },
-                config,
-                opts,
-            ),
-            LockKind::Foll if opts.biased => measure_tuned(
-                |cap| {
-                    let mut b = FollLock::builder(cap)
-                        .adaptive(opts.adaptive)
-                        .cohort(opts.cohort);
-                    if let Some(s) = shape {
-                        b = b.tree_shape(s);
-                    }
-                    b.biased(true).build_biased()
-                },
-                config,
-                opts,
-            ),
-            LockKind::Foll => measure_tuned(
-                |cap| {
-                    let mut b = FollLock::builder(cap)
-                        .adaptive(opts.adaptive)
-                        .cohort(opts.cohort);
-                    if let Some(s) = shape {
-                        b = b.tree_shape(s);
-                    }
-                    b.build()
-                },
-                config,
-                opts,
-            ),
-            LockKind::Roll if opts.biased => measure_tuned(
-                |cap| {
-                    let mut b = RollLock::builder(cap)
-                        .adaptive(opts.adaptive)
-                        .cohort(opts.cohort);
-                    if let Some(s) = shape {
-                        b = b.tree_shape(s);
-                    }
-                    b.biased(true).build_biased()
-                },
-                config,
-                opts,
-            ),
-            LockKind::Roll => measure_tuned(
-                |cap| {
-                    let mut b = RollLock::builder(cap)
-                        .adaptive(opts.adaptive)
-                        .cohort(opts.cohort);
-                    if let Some(s) = shape {
-                        b = b.tree_shape(s);
-                    }
-                    b.build()
-                },
-                config,
-                opts,
-            ),
-            LockKind::Ksuh => measure(KsuhLock::new, config, opts),
-            LockKind::SolarisLike => measure(SolarisLikeRwLock::new, config, opts),
-            LockKind::Centralized => measure(CentralizedRwLock::new, config, opts),
-            LockKind::McsRw => measure(McsRwLock::new, config, opts),
-            LockKind::McsRwReaderPref => measure(McsRwReaderPref::new, config, opts),
-            LockKind::McsRwWriterPref => measure(McsRwWriterPref::new, config, opts),
-            LockKind::PerThread => measure(PerThreadRwLock::new, config, opts),
-            LockKind::StdRw => measure(StdRwLock::new, config, opts),
-            LockKind::McsMutex => measure(McsMutex::new, config, opts),
-        };
+        let (elapsed, run_overlap, snap) =
+            with_lock(kind, config.threads, opts, Throughput(config));
         total += elapsed;
+        overlap += run_overlap;
         match (&mut profile, snap) {
             (Some(p), Some(s)) => p.merge(&s),
             (p @ None, Some(s)) => *p = Some(s),
@@ -277,6 +255,7 @@ pub fn run_throughput_profiled_with(
             acquires_per_sec: total_acqs as f64 / mean.as_secs_f64(),
             elapsed: mean,
             total_acquisitions: total_acqs,
+            overlap: overlap / runs as f64,
         },
         profile,
     )
@@ -379,5 +358,6 @@ mod tests {
         };
         let r = run_throughput(LockKind::Foll, &config);
         assert_eq!(r.threads, 1);
+        assert_eq!(r.overlap, 1.0, "one thread always overlaps itself");
     }
 }

@@ -66,26 +66,31 @@ impl SweepOptions {
     }
 }
 
+/// The workload of one panel point: `base` at the panel's read mix and
+/// `threads` threads, keeping the paper's 100k/10k acquisition split
+/// (÷10 at ≤50% reads) relative to the base's scaling.
+pub fn point_config(panel: Fig5Panel, threads: usize, base: &WorkloadConfig) -> WorkloadConfig {
+    let read_pct = panel.read_pct();
+    WorkloadConfig {
+        threads,
+        read_pct,
+        acquisitions_per_thread: if read_pct > 50 {
+            base.acquisitions_per_thread
+        } else {
+            (base.acquisitions_per_thread / 10).max(1)
+        },
+        ..*base
+    }
+}
+
 /// Regenerates one panel of Figure 5.
 pub fn run_panel(panel: Fig5Panel, opts: &SweepOptions) -> PanelResult {
-    let read_pct = panel.read_pct();
     let mut series = Vec::with_capacity(opts.locks.len());
     for &kind in &opts.locks {
         let mut points = Vec::with_capacity(opts.thread_counts.len());
         let mut profiles = Vec::with_capacity(opts.thread_counts.len());
         for &threads in &opts.thread_counts {
-            let config = WorkloadConfig {
-                threads,
-                read_pct,
-                // Keep the paper's 100k/10k split rule relative to the
-                // base's scaling.
-                acquisitions_per_thread: if read_pct > 50 {
-                    opts.base.acquisitions_per_thread
-                } else {
-                    (opts.base.acquisitions_per_thread / 10).max(1)
-                },
-                ..opts.base
-            };
+            let config = point_config(panel, threads, &opts.base);
             let (r, profile) = {
                 let (r, p) = run_throughput_profiled_with(kind, &config, &opts.lock_options);
                 (r, if opts.collect_telemetry { p } else { None })

@@ -8,13 +8,14 @@
 #   fig5_biased.json / fig5_unbiased.json BRAVO before/after pair
 #                                         (EXPERIMENTS.md, DESIGN.md #11)
 #   BENCH_fig5.json                       trajectory file: a small fixed
-#                                         sweep re-anchors diff across
-#                                         sessions to see the perf trend
+#                                         sweep lets diffs across commits
+#                                         show the perf trend,
+#                                         plus the async panel and the
+#                                         paired A/B members (fig5 --ab)
 #
-# The Criterion artifacts (ablation_results.txt, bench_output.txt) are
-# NOT regenerated here: crates/bench sits outside the workspace and
-# needs registry access for criterion — run `cargo bench -p oll-bench`
-# from crates/bench on a networked machine instead.
+# ablation_results.txt is historical output of a removed Criterion
+# package and is not regenerated; per-layer costs come from rwbench
+# (python3 rwbench/run.py --trace 1, see rwbench/README.md).
 #
 # Usage:  ./scripts/regen_results.sh
 set -euo pipefail
@@ -57,38 +58,29 @@ cargo build --release -p oll-workloads --features async
 target/release/fig5_async --tasks 1000000 --workers 8 --merge BENCH_fig5.json
 "$FIG5CHECK" BENCH_fig5.json --expect-async --expect-async-tasks 1000000
 
-echo "==> BENCH_fig5.json obs member: sampler overhead (fig5_obs)"
-# The monitoring acceptance number: the same panel-b sweep bare and
-# under a live 100 ms sampler, folded into BENCH_fig5.json as its
-# "obs" member. The recorded overall_overhead_pct should stay under 2%.
+echo "==> BENCH_fig5.json A/B members: cohort and self-tuning (fig5 --ab)"
+# Paired A/B comparisons (EXPERIMENTS.md, "Paired A/B method"): every
+# point runs as --runs adjacent pairs, the option off (A) and on (B),
+# the order alternating; each lock x panel row records the median
+# delta (B-A)/A with its quartiles, pair count and thread overlap, and
+# is folded into BENCH_fig5.json as the member keyed by the option.
+# Rows need at least 10 pairs (4 thread counts x --runs). --ab keeps
+# fig5's /10 rule at <=50% reads, so --acquisitions 1000000 gives the
+# cohort gate 100k writes per thread on panel f.
+"$FIG5" --ab cohort --panel f --locks FOLL,ROLL --threads 1,2,4,8 \
+    --acquisitions 1000000 --runs 5 --merge BENCH_fig5.json
+# One panel per controller regime: read-heavy, mixed, write-heavy.
+"$FIG5" --ab self-tuning --panel b,e,f --locks GOLL,FOLL,ROLL --threads 1,2,4,8 \
+    --acquisitions 100000 --runs 3 --merge BENCH_fig5.json
+
+echo "==> BENCH_fig5.json obs member: sampler A/B (fig5 --ab obs)"
+# The same panel-b points bare and under a live 100 ms sampler. The
+# bound reads "median delta >= -2%". Needs the obs build; fig5 exits 2
+# without it.
 cargo build --release -p oll-workloads --features obs
-target/release/fig5_obs --threads 1,2,4,8 --acquisitions 50000 --runs 5 \
+"$FIG5" --ab obs --panel b --threads 1,2,4,8 --acquisitions 200000 --runs 5 \
     --merge BENCH_fig5.json
-"$FIG5CHECK" BENCH_fig5.json --expect-obs --expect-async --expect-async-tasks 1000000
-
-echo "==> BENCH_fig5.json cohort member: NUMA writer-gate delta (fig5_cohort)"
-# The cohort-gate acceptance number: panel-f (0% reads) points paired
-# with the gate off and on, folded into BENCH_fig5.json as its
-# "cohort" member. On single-socket machines (ranks=1) the recorded
-# overall_delta_pct bounds the gate's bookkeeping overhead; on
-# multi-socket machines it shows the batched hand-off win. 100k
-# acquisitions/thread keeps each half long enough that both land in
-# the same scheduling regime (short runs on an oversubscribed box
-# degenerate to serial execution and the pairing loses its meaning).
-target/release/fig5_cohort --threads 1,2,4,8 --acquisitions 100000 --runs 3 \
-    --merge BENCH_fig5.json
-"$FIG5CHECK" BENCH_fig5.json --expect-obs --expect-cohort \
-    --expect-async --expect-async-tasks 1000000
-
-echo "==> BENCH_fig5.json tuned member: self-tuning controller delta (fig5_tuned)"
-# The self-tuning acceptance number: panels b/e/f (one per controller
-# regime) paired bare and under SelfTuning, folded into BENCH_fig5.json
-# as its "tuned" member. The recorded overall_delta_pct should stay
-# within noise of zero on quick-length points (they close too few
-# sampling windows for the steering to pay; the number bounds the
-# controller's overhead instead — see EXPERIMENTS.md).
-target/release/fig5_tuned --runs 3 --merge BENCH_fig5.json
-"$FIG5CHECK" BENCH_fig5.json --expect-obs --expect-cohort --expect-tuned \
+"$FIG5CHECK" BENCH_fig5.json --expect-ab obs,cohort,self-tuning \
     --expect-async --expect-async-tasks 1000000
 
 echo "==> done; review the diffs before committing"

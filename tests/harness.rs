@@ -4,6 +4,7 @@
 
 use oll::workloads::config::{Fig5Panel, LockKind, LockOptions, WorkloadConfig};
 use oll::workloads::report::{factor_at_peak, render_csv, render_table};
+use oll::workloads::runner::ThroughputResult;
 use oll::workloads::sweep::{run_panel, SweepOptions};
 
 fn tiny_opts(locks: Vec<LockKind>) -> SweepOptions {
@@ -48,36 +49,58 @@ fn every_panel_runs_with_figure5_locks() {
     }
 }
 
+/// The least share of a point's wall time during which all its threads
+/// must be inside their acquisition loops at once for the point to
+/// measure contention rather than threads running one after another.
+const MIN_OVERLAP: f64 = 0.25;
+
+/// `kind`'s 4-thread point on `panel`, sized so its threads overlap:
+/// it starts at 200,000 acquisitions per thread (20,000 on panels at
+/// <=50% reads) and doubles, up to four times, while the overlap stays
+/// under [`MIN_OVERLAP`].
+fn overlapped_point(kind: LockKind, panel: Fig5Panel) -> ThroughputResult {
+    let mut opts = SweepOptions {
+        thread_counts: vec![4],
+        ..tiny_opts(vec![kind])
+    };
+    opts.base.acquisitions_per_thread = 200_000;
+    loop {
+        let point = run_panel(panel, &opts).series[0].points[0];
+        if point.overlap >= MIN_OVERLAP || opts.base.acquisitions_per_thread >= 3_200_000 {
+            return point;
+        }
+        opts.base.acquisitions_per_thread *= 2;
+    }
+}
+
 #[test]
 fn read_only_throughput_beats_write_only_for_rw_locks() {
     // At equal thread counts, 100% reads must outperform 0% reads for any
     // reader-writer lock (readers share; writers serialize). This is only
     // observable with real parallelism: on a single hardware thread,
     // concurrent readers cannot overlap, so the two workloads cost the
-    // same and the comparison is noise.
+    // same and the comparison is noise. Short points are no better: if
+    // the threads run one after another, the comparison prices the
+    // uncontended fast paths, so both points must first show overlap.
     let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
     if hw < 2 {
         eprintln!("skipping shape assertion: single hardware thread (see EXPERIMENTS.md)");
         return;
     }
-    let opts = tiny_opts(vec![LockKind::Foll, LockKind::Roll, LockKind::Goll]);
-    let read_only = run_panel(Fig5Panel::A, &opts);
-    let write_only = run_panel(Fig5Panel::F, &opts);
     for kind in [LockKind::Foll, LockKind::Roll, LockKind::Goll] {
-        let r = read_only
-            .series_for(kind)
-            .unwrap()
-            .points
-            .last()
-            .unwrap()
-            .acquires_per_sec;
-        let w = write_only
-            .series_for(kind)
-            .unwrap()
-            .points
-            .last()
-            .unwrap()
-            .acquires_per_sec;
+        let read_only = overlapped_point(kind, Fig5Panel::A);
+        let write_only = overlapped_point(kind, Fig5Panel::F);
+        for p in [&read_only, &write_only] {
+            assert!(
+                p.overlap >= MIN_OVERLAP,
+                "{}: {}% reads point overlapped for {:.3} of its run, below {MIN_OVERLAP}",
+                kind.name(),
+                p.read_pct,
+                p.overlap
+            );
+        }
+        let r = read_only.acquires_per_sec;
+        let w = write_only.acquires_per_sec;
         assert!(
             r > w,
             "{}: read-only ({r:.0}/s) should beat write-only ({w:.0}/s) at 4 threads",
